@@ -48,6 +48,23 @@ fn bench_minidb(c: &mut Criterion) {
             assert!(rs.rows[0][0].as_i64().unwrap() > 0);
         });
     });
+    g.bench_function("point-select", |b| {
+        b.iter(|| {
+            let rs = db
+                .exec(&mut s, "SELECT name, qty FROM t WHERE id = 500")
+                .unwrap()
+                .rows()
+                .unwrap();
+            assert_eq!(rs.rows.len(), 1);
+        });
+    });
+    g.bench_function("delete+reinsert", |b| {
+        b.iter(|| {
+            db.exec(&mut s, "DELETE FROM t WHERE id = 250").unwrap();
+            db.exec(&mut s, "INSERT INTO t VALUES (250, 'item-250', 0)")
+                .unwrap();
+        });
+    });
     g.bench_function("point-update", |b| {
         b.iter(|| {
             db.exec(&mut s, "UPDATE t SET qty = qty + 1 WHERE id = 500")

@@ -7,7 +7,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use netsim::{Addr, NetError, Network, Service, TaskControl, TaskHandle};
+use netsim::{Addr, NetError, Network, Service, TaskControl, TaskHandle, WeakNetwork};
 
 use drivolution_core::chunk::{ChunkSet, ChunkingParams};
 use drivolution_core::proto::{DrvMsg, MAX_HEARTBEAT_COVERAGE};
@@ -82,7 +82,9 @@ pub struct MirrorStats {
 /// [`pause_lifecycle`](Self::pause_lifecycle)d for a controlled restart)
 /// is quarantined out of chunk plans.
 pub struct MirrorDepot {
-    net: Network,
+    /// Weak: the network's registry owns the mirror, so a strong handle
+    /// here would keep both alive after the fleet is dropped.
+    net: WeakNetwork,
     addr: Addr,
     primary: Addr,
     cert: Certificate,
@@ -148,7 +150,7 @@ impl MirrorDepot {
         timing: MirrorTiming,
     ) -> Result<Arc<Self>, NetError> {
         let mirror = Arc::new(MirrorDepot {
-            net: net.clone(),
+            net: net.downgrade(),
             addr: addr.clone(),
             primary,
             cert: Certificate::issue(addr.host(), u64::from(addr.port())),
@@ -164,15 +166,15 @@ impl MirrorDepot {
         // announce-retry task keeps trying until it gets through, and a
         // later heartbeat answered `known: false` re-announces too.
         let announced = mirror.announce().is_ok();
-        mirror.register_lifecycle(timing, announced);
+        mirror.register_lifecycle(net, timing, announced);
         Ok(mirror)
     }
 
     /// Registers the heartbeat task (and, unless the launch announce
     /// already succeeded, the announce-retry task) on the network's
     /// scheduler.
-    fn register_lifecycle(self: &Arc<Self>, timing: MirrorTiming, announced: bool) {
-        let sched = self.net.scheduler();
+    fn register_lifecycle(self: &Arc<Self>, net: &Network, timing: MirrorTiming, announced: bool) {
+        let sched = net.scheduler();
         let location = self.location();
         let me = Arc::downgrade(self);
         let heartbeat = sched.every(
@@ -241,12 +243,19 @@ impl MirrorDepot {
     /// The zone this mirror is placed in under the network's current
     /// topology, if any.
     pub fn zone(&self) -> Option<String> {
-        self.net.zone_of(self.addr.host())
+        self.net.upgrade()?.zone_of(self.addr.host())
+    }
+
+    /// The network this mirror is bound on, while it still exists.
+    fn net(&self) -> DrvResult<Network> {
+        self.net
+            .upgrade()
+            .ok_or_else(|| DrvError::Net("mirror network torn down".into()))
     }
 
     fn exchange_directory(&self, msg: DrvMsg) -> DrvResult<bool> {
         let reply = self
-            .net
+            .net()?
             .request(&self.addr, &self.primary, msg.encode())
             .map_err(|e| DrvError::Net(format!("mirror directory exchange: {e}")))?;
         match DrvMsg::decode(reply)? {
@@ -358,7 +367,7 @@ impl MirrorDepot {
             return Ok(());
         }
         let reply = self
-            .net
+            .net()?
             .request(
                 &self.addr,
                 &self.primary,

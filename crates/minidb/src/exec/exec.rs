@@ -1,12 +1,33 @@
 //! Statement execution against a catalog.
+//!
+//! # Access paths
+//!
+//! `SELECT`, `UPDATE` and `DELETE` read their candidate rows from the
+//! table's primary-key index (see [`crate::storage`]) when the `WHERE`
+//! filter's leftmost conjunct pins the key to a constant:
+//!
+//! * the filter is `pk = c` or `c = pk`, or an `AND` chain whose
+//!   leftmost conjunct (following `lhs` down nested `AND`s) is;
+//! * `pk` names the primary-key column, qualified or not;
+//! * `c` is a literal or a bound parameter whose value compares with
+//!   the key column: not NULL, and numeric for INTEGER/BIGINT/TIMESTAMP
+//!   keys, a string for VARCHAR keys, and so on.
+//!
+//! Every other filter scans the table. The full filter still runs on
+//! each candidate row, so the index changes no result and no error:
+//! `AND` evaluates left to right and stops at FALSE, so on every row the
+//! index skips, the leftmost conjunct is FALSE and the scan would have
+//! evaluated nothing else. A constant that does not compare with the
+//! key (`pk = 'x'` on an INTEGER key, an unbound parameter) makes the
+//! conjunct unknown or an error rather than FALSE, so those filters scan.
 
 use std::cmp::Ordering;
 
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::{is_aggregate, EvalCtx, Params};
 use crate::schema::{Column, TableSchema};
-use crate::sql::ast::{ColumnDef, Expr, SelectItem, SelectStmt, Statement};
-use crate::storage::{Catalog, UndoRecord};
+use crate::sql::ast::{BinOp, ColumnDef, Expr, SelectItem, SelectStmt, Statement};
+use crate::storage::{Catalog, RowId, Table, UndoRecord};
 use crate::value::Value;
 
 /// A result set: named columns and rows.
@@ -89,6 +110,74 @@ fn build_schema(name: &str, defs: &[ColumnDef]) -> DbResult<TableSchema> {
         cols.push(c);
     }
     TableSchema::new(name, cols)
+}
+
+/// The constant `filter` pins the primary key to, when its leftmost
+/// conjunct is `pk = c` or `c = pk` with `c` a literal or a bound
+/// parameter (see the module docs).
+fn pk_constant<'e>(
+    schema: &TableSchema,
+    filter: &'e Expr,
+    params: &'e Params,
+) -> Option<&'e Value> {
+    let mut conjunct = filter;
+    while let Expr::Binary {
+        op: BinOp::And,
+        lhs,
+        ..
+    } = conjunct
+    {
+        conjunct = lhs;
+    }
+    let Expr::Binary {
+        op: BinOp::Eq,
+        lhs,
+        rhs,
+    } = conjunct
+    else {
+        return None;
+    };
+    let pk = schema.primary_key_index()?;
+    // Resolves like `EvalCtx::column`: by the last dotted segment.
+    let is_pk = |e: &Expr| match e {
+        Expr::Column(name) => {
+            let base = name
+                .rsplit_once('.')
+                .map_or(name.as_str(), |(_, base)| base);
+            schema.col_index(base).ok() == Some(pk)
+        }
+        _ => false,
+    };
+    let constant = |e: &'e Expr| match e {
+        Expr::Literal(v) => Some(v),
+        Expr::Param(p) => params.get(p),
+        _ => None,
+    };
+    if is_pk(lhs) {
+        constant(rhs)
+    } else if is_pk(rhs) {
+        constant(lhs)
+    } else {
+        None
+    }
+}
+
+/// The rows `filter` may select, in row id order: the primary-key
+/// index's hits when the filter pins the key (see the module docs),
+/// otherwise every row. Callers still run the full filter on each.
+fn candidate_rows<'t>(
+    t: &'t Table,
+    filter: Option<&Expr>,
+    params: &Params,
+) -> impl Iterator<Item = (RowId, &'t Vec<Value>)> {
+    let probe = filter
+        .and_then(|f| pk_constant(t.schema(), f, params))
+        .and_then(|c| t.rows_with_pk(c));
+    let scan = probe.is_none().then(|| t.iter());
+    probe
+        .into_iter()
+        .flatten()
+        .chain(scan.into_iter().flatten())
 }
 
 /// Where a statement's target table lives.
@@ -294,7 +383,7 @@ fn exec_update(
             Target::Main => catalog.table(table)?,
             Target::Temp => temp.table(table)?,
         };
-        for (id, row) in t.iter() {
+        for (id, row) in candidate_rows(t, filter, params) {
             let ctx = EvalCtx::for_row(&schema, row, params, now_ms);
             let keep = match filter {
                 Some(f) => ctx.eval_bool(f)? == Some(true),
@@ -369,7 +458,7 @@ fn exec_delete(
             Target::Main => catalog.table(table)?,
             Target::Temp => temp.table(table)?,
         };
-        for (id, row) in t.iter() {
+        for (id, row) in candidate_rows(t, filter, params) {
             let ctx = EvalCtx::for_row(&schema, row, params, now_ms);
             let keep = match filter {
                 Some(f) => ctx.eval_bool(f)? == Some(true),
@@ -486,7 +575,7 @@ pub fn exec_select(
 
     // Collect rows passing the filter.
     let mut base: Vec<&Vec<Value>> = Vec::new();
-    for (_, row) in t.iter() {
+    for (_, row) in candidate_rows(t, s.filter.as_ref(), params) {
         let ctx = EvalCtx::for_row(schema, row, params, now_ms);
         let keep = match &s.filter {
             Some(f) => ctx.eval_bool(f)? == Some(true),
@@ -680,6 +769,7 @@ fn eval_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::expr::positional;
     use crate::sql::parser::parse;
 
     fn run(
@@ -715,6 +805,120 @@ mod tests {
         )
         .unwrap();
         (c, t)
+    }
+
+    #[test]
+    fn pk_filters_keep_scan_results_and_errors() {
+        let (mut c, mut t) = setup();
+        let p = positional(vec![Value::BigInt(2)]);
+        let rows = |c: &mut Catalog, t: &mut Catalog, sql: &str, p: &Params| {
+            run(c, t, sql, p)
+                .and_then(QueryResult::rows)
+                .map(|r| r.rows)
+        };
+        for (indexed, scanned) in [
+            (
+                "SELECT * FROM drivers WHERE driver_id = 2",
+                "SELECT * FROM drivers WHERE driver_id + 0 = 2",
+            ),
+            (
+                "SELECT * FROM drivers WHERE ? = drivers.driver_id",
+                "SELECT * FROM drivers WHERE ? = driver_id + 0",
+            ),
+            (
+                "SELECT * FROM drivers WHERE driver_id = 3 AND version_major = 3 AND api_name = 'ODBC'",
+                "SELECT * FROM drivers WHERE driver_id + 0 = 3 AND version_major = 3 AND api_name = 'ODBC'",
+            ),
+            // A string never equals an INTEGER key: no rows either way.
+            (
+                "SELECT * FROM drivers WHERE driver_id = '2'",
+                "SELECT * FROM drivers WHERE driver_id + 0 = '2'",
+            ),
+        ] {
+            let a = rows(&mut c, &mut t, indexed, &p).unwrap();
+            assert_eq!(a, rows(&mut c, &mut t, scanned, &p).unwrap(), "{indexed}");
+        }
+        assert_eq!(
+            rows(
+                &mut c,
+                &mut t,
+                "SELECT * FROM drivers WHERE driver_id = 2",
+                &p
+            )
+            .unwrap()
+            .len(),
+            1
+        );
+        // The rest of the filter runs exactly where a scan would run it:
+        // on the matching row only...
+        assert!(rows(
+            &mut c,
+            &mut t,
+            "SELECT * FROM drivers WHERE driver_id = 9 AND 1 / 0 = 1",
+            &p
+        )
+        .unwrap()
+        .is_empty());
+        assert!(rows(
+            &mut c,
+            &mut t,
+            "SELECT * FROM drivers WHERE driver_id = 2 AND 1 / 0 = 1",
+            &p
+        )
+        .is_err());
+        // ...and on every row when the key comparison is unknown.
+        assert!(rows(
+            &mut c,
+            &mut t,
+            "SELECT * FROM drivers WHERE driver_id = '9' AND 1 / 0 = 1",
+            &p
+        )
+        .is_err());
+        // An unbound parameter errors as it would under a scan.
+        assert!(matches!(
+            rows(
+                &mut c,
+                &mut t,
+                "SELECT * FROM drivers WHERE driver_id = ?",
+                &Params::new()
+            ),
+            Err(DbError::UnboundParam(_))
+        ));
+        // Point UPDATE and DELETE touch exactly the keyed row.
+        let n = run(
+            &mut c,
+            &mut t,
+            "UPDATE drivers SET version_major = 9 WHERE driver_id = 1",
+            &p,
+        )
+        .unwrap()
+        .affected()
+        .unwrap();
+        assert_eq!(n, 1);
+        let n = run(
+            &mut c,
+            &mut t,
+            "DELETE FROM drivers WHERE driver_id = ? AND version_major = 4",
+            &p,
+        )
+        .unwrap()
+        .affected()
+        .unwrap();
+        assert_eq!(n, 1);
+        let left = rows(
+            &mut c,
+            &mut t,
+            "SELECT driver_id, version_major FROM drivers",
+            &p,
+        )
+        .unwrap();
+        assert_eq!(
+            left,
+            vec![
+                vec![Value::Integer(1), Value::Integer(9)],
+                vec![Value::Integer(3), Value::Integer(3)],
+            ]
+        );
     }
 
     #[test]

@@ -1,29 +1,98 @@
 //! Row storage, catalog, and transaction undo log.
+//!
+//! # Primary-key index
+//!
+//! A table with a `PRIMARY KEY` column keeps an ordered index from the
+//! key to the rows holding it. Keys are normalised so that two keys are
+//! equal exactly when [`Value::sql_eq`] says the values are: INTEGER,
+//! BIGINT and TIMESTAMP share one numeric key, and each other type keys
+//! by its own value. The index is a `BTreeSet` of `(key, RowId)` pairs
+//! (ordered, so no hash-order iteration), and every mutation path —
+//! [`Table::insert`], [`Table::update`], [`Table::delete`] and the undo
+//! path's `restore` — keeps it current.
+//!
+//! It answers three questions without a scan:
+//!
+//! * uniqueness: `insert` and `update` reject a key another row holds;
+//! * point lookups: `Table::rows_with_pk`, which the executor uses
+//!   for `WHERE pk = c` filters (see [`crate::exec::exec`]);
+//! * foreign keys: [`Table::contains_value`] on the key column, which
+//!   [`Catalog::check_reference`] calls for `REFERENCES` checks.
+//!
+//! The index holds pairs rather than mapping each key to one row
+//! because a rollback restores old images without a uniqueness check:
+//! if another session took a key in the meantime, two rows share it,
+//! and the index still lists both, as a scan would find both.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+use bytes::Bytes;
 
 use crate::error::{DbError, DbResult};
 use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Opaque row identifier, unique within a table for its lifetime.
 pub type RowId = u64;
 
-/// A heap table: schema plus rows keyed by [`RowId`].
+/// A primary-key value normalised for the index: equal keys are exactly
+/// the values [`Value::sql_eq`] calls equal. NULL has no key.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum PkKey {
+    Num(i64),
+    Text(String),
+    Blob(Bytes),
+    Bool(bool),
+}
+
+impl PkKey {
+    fn of(v: &Value) -> Option<PkKey> {
+        match v {
+            Value::Null => None,
+            Value::Integer(n) | Value::BigInt(n) | Value::Timestamp(n) => Some(PkKey::Num(*n)),
+            Value::Varchar(s) => Some(PkKey::Text(s.clone())),
+            Value::Blob(b) => Some(PkKey::Blob(b.clone())),
+            Value::Boolean(b) => Some(PkKey::Bool(*b)),
+        }
+    }
+
+    /// Whether this key compares with stored values of column type `ty`
+    /// (stored values are coerced to the column type on write).
+    fn compares_with(&self, ty: DataType) -> bool {
+        matches!(
+            (self, ty),
+            (
+                PkKey::Num(_),
+                DataType::Integer | DataType::BigInt | DataType::Timestamp
+            ) | (PkKey::Text(_), DataType::Varchar)
+                | (PkKey::Blob(_), DataType::Blob)
+                | (PkKey::Bool(_), DataType::Boolean)
+        )
+    }
+}
+
+/// A heap table: schema plus rows keyed by [`RowId`], with a
+/// primary-key index when the schema declares a key.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
     rows: BTreeMap<RowId, Vec<Value>>,
     next_row_id: RowId,
+    /// Position of the primary-key column, if any.
+    pk: Option<usize>,
+    /// `(key, row)` for every live row; empty without a primary key.
+    pk_index: BTreeSet<(PkKey, RowId)>,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Self {
         Table {
+            pk: schema.primary_key_index(),
             schema,
             rows: BTreeMap::new(),
             next_row_id: 1,
+            pk_index: BTreeSet::new(),
         }
     }
 
@@ -52,6 +121,71 @@ impl Table {
         self.rows.get(&id)
     }
 
+    /// The rows whose primary key equals `value` under [`Value::sql_eq`],
+    /// in row id order, found through the index. `None` when the answer
+    /// needs a scan instead: the table has no primary key, or `value` is
+    /// NULL or of a type that does not compare with the key column (for
+    /// such values `pk = value` is unknown on every row, not false).
+    pub(crate) fn rows_with_pk(
+        &self,
+        value: &Value,
+    ) -> Option<impl Iterator<Item = (RowId, &Vec<Value>)>> {
+        let pk = self.pk?;
+        let key = PkKey::of(value)?;
+        if !key.compares_with(self.schema.columns()[pk].dtype()) {
+            return None;
+        }
+        Some(
+            self.ids_with_key(key)
+                .filter_map(|id| self.rows.get(&id).map(|r| (id, r))),
+        )
+    }
+
+    fn ids_with_key(&self, key: PkKey) -> impl Iterator<Item = RowId> + '_ {
+        self.pk_index
+            .range((key.clone(), RowId::MIN)..=(key, RowId::MAX))
+            .map(|(_, id)| *id)
+    }
+
+    fn pk_key(&self, row: &[Value]) -> Option<PkKey> {
+        self.pk.and_then(|pk| PkKey::of(&row[pk]))
+    }
+
+    /// Rejects `row` when a row other than `except` already holds its
+    /// primary key.
+    fn check_unique(&self, row: &[Value], except: Option<RowId>) -> DbResult<Option<PkKey>> {
+        let (Some(pk), Some(key)) = (self.pk, self.pk_key(row)) else {
+            return Ok(None);
+        };
+        if self
+            .ids_with_key(key.clone())
+            .any(|other| Some(other) != except)
+        {
+            return Err(DbError::DuplicateKey(format!(
+                "{}.{} = {}",
+                self.schema.name(),
+                self.schema.columns()[pk].name(),
+                row[pk]
+            )));
+        }
+        Ok(Some(key))
+    }
+
+    /// Moves row `id`'s index entry from the key of its `old` image (if
+    /// any) to `key` (if any).
+    fn reindex(&mut self, id: RowId, old: Option<&[Value]>, key: Option<PkKey>) {
+        let old_key = old.and_then(|r| self.pk_key(r));
+        if old_key == key {
+            return;
+        }
+        if let Some(old_key) = old_key {
+            self.pk_index.remove(&(old_key, id));
+        }
+        if let Some(key) = key {
+            self.pk_index.insert((key, id));
+        }
+    }
+
     /// Validates the row against the schema (types, NOT NULL, primary-key
     /// uniqueness) and inserts it, returning its new [`RowId`].
     ///
@@ -61,28 +195,19 @@ impl Table {
     /// [`DbError::DuplicateKey`].
     pub fn insert(&mut self, row: Vec<Value>) -> DbResult<RowId> {
         let row = self.schema.validate_row(row)?;
-        if let Some(pk) = self.schema.primary_key_index() {
-            let new_key = &row[pk];
-            for existing in self.rows.values() {
-                if existing[pk].sql_eq(new_key) == Some(true) {
-                    return Err(DbError::DuplicateKey(format!(
-                        "{}.{} = {}",
-                        self.schema.name(),
-                        self.schema.columns()[pk].name(),
-                        new_key
-                    )));
-                }
-            }
-        }
+        let key = self.check_unique(&row, None)?;
         let id = self.next_row_id;
         self.next_row_id += 1;
         self.rows.insert(id, row);
+        self.reindex(id, None, key);
         Ok(id)
     }
 
     /// Re-inserts a row under a previously used id (for undo).
     pub(crate) fn restore(&mut self, id: RowId, row: Vec<Value>) {
-        self.rows.insert(id, row);
+        let key = self.pk_key(&row);
+        let old = self.rows.insert(id, row);
+        self.reindex(id, old.as_deref(), key);
         if id >= self.next_row_id {
             self.next_row_id = id + 1;
         }
@@ -95,26 +220,16 @@ impl Table {
     /// [`DbError::Internal`] if `id` is dead; schema errors as for insert.
     pub fn update(&mut self, id: RowId, row: Vec<Value>) -> DbResult<Vec<Value>> {
         let row = self.schema.validate_row(row)?;
-        if let Some(pk) = self.schema.primary_key_index() {
-            let new_key = &row[pk];
-            for (other_id, existing) in &self.rows {
-                if *other_id != id && existing[pk].sql_eq(new_key) == Some(true) {
-                    return Err(DbError::DuplicateKey(format!(
-                        "{}.{} = {}",
-                        self.schema.name(),
-                        self.schema.columns()[pk].name(),
-                        new_key
-                    )));
-                }
-            }
-        }
-        match self.rows.insert(id, row) {
-            Some(old) => Ok(old),
-            None => Err(DbError::Internal(format!(
+        let key = self.check_unique(&row, Some(id))?;
+        let Some(slot) = self.rows.get_mut(&id) else {
+            return Err(DbError::Internal(format!(
                 "update of dead row {id} in {}",
                 self.schema.name()
-            ))),
-        }
+            )));
+        };
+        let old = std::mem::replace(slot, row);
+        self.reindex(id, Some(&old), key);
+        Ok(old)
     }
 
     /// Deletes the row at `id`, returning its final image.
@@ -123,13 +238,23 @@ impl Table {
     ///
     /// [`DbError::Internal`] if `id` is dead.
     pub fn delete(&mut self, id: RowId) -> DbResult<Vec<Value>> {
-        self.rows.remove(&id).ok_or_else(|| {
+        let old = self.rows.remove(&id).ok_or_else(|| {
             DbError::Internal(format!("delete of dead row {id} in {}", self.schema.name()))
-        })
+        })?;
+        self.reindex(id, Some(&old), None);
+        Ok(old)
     }
 
-    /// Returns `true` if any row has `value` in column `col`.
+    /// Returns `true` if any row has `value` in column `col`: an index
+    /// probe on the primary-key column, a scan on any other.
     pub fn contains_value(&self, col: usize, value: &Value) -> bool {
+        if Some(col) == self.pk {
+            // A value the index cannot probe (NULL, another type) equals
+            // no stored key.
+            return self
+                .rows_with_pk(value)
+                .is_some_and(|mut hits| hits.next().is_some());
+        }
         self.rows
             .values()
             .any(|r| r[col].sql_eq(value) == Some(true))
@@ -261,7 +386,9 @@ impl Catalog {
     }
 
     /// Checks that `value` exists in `table.column` — used to enforce
-    /// `REFERENCES` constraints on insert/update.
+    /// `REFERENCES` constraints on insert/update. When `column` is the
+    /// table's primary key (as for `driver_permission.driver_id →
+    /// drivers.driver_id`), this is one index probe, not a scan.
     ///
     /// # Errors
     ///
@@ -425,9 +552,15 @@ mod tests {
         // Insert referencing existing driver: ok.
         c.check_reference("drivers", "driver_id", &Value::Integer(1))
             .unwrap();
-        // Missing driver: rejected.
+        // Any numeric type finds the key through the index.
+        c.check_reference("drivers", "driver_id", &Value::BigInt(1))
+            .unwrap();
+        // Missing driver, or a value no INTEGER key equals: rejected.
         assert!(c
             .check_reference("drivers", "driver_id", &Value::Integer(9))
+            .is_err());
+        assert!(c
+            .check_reference("drivers", "driver_id", &Value::str("1"))
             .is_err());
         // NULL reference: allowed.
         c.check_reference("drivers", "driver_id", &Value::Null)
@@ -451,6 +584,139 @@ mod tests {
         let c = catalog_with_fk();
         assert!(c.has_table("DRIVERS"));
         assert!(c.table("Drivers").is_ok());
+    }
+
+    fn keyed() -> Table {
+        Table::new(
+            TableSchema::new(
+                "t",
+                vec![
+                    Column::new("a", DataType::Integer).primary_key(),
+                    Column::new("b", DataType::Integer),
+                ],
+            )
+            .unwrap(),
+        )
+    }
+
+    /// Row ids the index returns for key `k`, checked against a scan.
+    fn probe(t: &Table, k: i64) -> Vec<RowId> {
+        let hits: Vec<RowId> = t
+            .rows_with_pk(&Value::Integer(k))
+            .expect("integer probes an integer key")
+            .map(|(id, _)| id)
+            .collect();
+        let scanned: Vec<RowId> = t
+            .iter()
+            .filter(|(_, r)| r[0].sql_eq(&Value::Integer(k)) == Some(true))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(hits, scanned, "index and scan disagree on key {k}");
+        hits
+    }
+
+    #[test]
+    fn index_survives_rollback_of_insert_delete_and_key_update() {
+        let mut c = Catalog::new();
+        c.create_table(keyed().schema().clone()).unwrap();
+        let t = c.table_mut("t").unwrap();
+        let r1 = t
+            .insert(vec![Value::Integer(1), Value::Integer(10)])
+            .unwrap();
+        let r2 = t
+            .insert(vec![Value::Integer(2), Value::Integer(20)])
+            .unwrap();
+
+        // One transaction: insert 3, delete 1, move 2 -> 5.
+        let mut log = Vec::new();
+        let r3 = t
+            .insert(vec![Value::Integer(3), Value::Integer(30)])
+            .unwrap();
+        log.push(UndoRecord::Inserted {
+            table: "t".into(),
+            id: r3,
+        });
+        let old = t.delete(r1).unwrap();
+        log.push(UndoRecord::Deleted {
+            table: "t".into(),
+            id: r1,
+            old,
+        });
+        let old = t
+            .update(r2, vec![Value::Integer(5), Value::Integer(20)])
+            .unwrap();
+        log.push(UndoRecord::Updated {
+            table: "t".into(),
+            id: r2,
+            old,
+        });
+        assert_eq!(probe(t, 1), Vec::<RowId>::new());
+        assert_eq!(probe(t, 2), Vec::<RowId>::new());
+        assert_eq!(probe(t, 5), vec![r2]);
+
+        for rec in log.into_iter().rev() {
+            c.apply_undo(rec);
+        }
+        let t = c.table_mut("t").unwrap();
+        assert_eq!(probe(t, 1), vec![r1]);
+        assert_eq!(probe(t, 2), vec![r2]);
+        assert_eq!(probe(t, 3), Vec::<RowId>::new());
+        assert_eq!(probe(t, 5), Vec::<RowId>::new());
+        // Restored keys are taken again; rolled-back ones are free.
+        assert!(matches!(
+            t.insert(vec![Value::Integer(1), Value::Null]),
+            Err(DbError::DuplicateKey(_))
+        ));
+        assert!(matches!(
+            t.insert(vec![Value::Integer(2), Value::Null]),
+            Err(DbError::DuplicateKey(_))
+        ));
+        t.insert(vec![Value::Integer(3), Value::Null]).unwrap();
+        t.insert(vec![Value::Integer(5), Value::Null]).unwrap();
+    }
+
+    #[test]
+    fn key_update_moves_the_uniqueness_claim() {
+        let mut t = keyed();
+        let r1 = t.insert(vec![Value::Integer(1), Value::Null]).unwrap();
+        let r2 = t.insert(vec![Value::Integer(2), Value::Null]).unwrap();
+        t.update(r1, vec![Value::Integer(7), Value::Null]).unwrap();
+        // The new key is claimed...
+        assert!(matches!(
+            t.insert(vec![Value::Integer(7), Value::Null]),
+            Err(DbError::DuplicateKey(_))
+        ));
+        assert!(matches!(
+            t.update(r2, vec![Value::BigInt(7), Value::Null]),
+            Err(DbError::DuplicateKey(_))
+        ));
+        // ...and the old one released.
+        let r3 = t.insert(vec![Value::Integer(1), Value::Null]).unwrap();
+        assert_eq!(probe(&t, 1), vec![r3]);
+        assert_eq!(probe(&t, 7), vec![r1]);
+        assert_eq!(probe(&t, 2), vec![r2]);
+    }
+
+    #[test]
+    fn probes_follow_sql_comparison_rules() {
+        let mut t = keyed();
+        let id = t.insert(vec![Value::Integer(1), Value::Null]).unwrap();
+        // Numeric types share one key.
+        for v in [Value::Integer(1), Value::BigInt(1), Value::Timestamp(1)] {
+            let hits: Vec<RowId> = t.rows_with_pk(&v).unwrap().map(|(i, _)| i).collect();
+            assert_eq!(hits, vec![id], "{v:?}");
+            assert!(t.contains_value(0, &v));
+        }
+        // A string never equals an INTEGER key, and NULL equals nothing:
+        // the index declines both, and the key column contains neither.
+        for v in [Value::str("1"), Value::Null] {
+            assert!(t.rows_with_pk(&v).is_none(), "{v:?}");
+            assert!(!t.contains_value(0, &v), "{v:?}");
+        }
+        // A table without a primary key has no index to probe.
+        let bare =
+            Table::new(TableSchema::new("u", vec![Column::new("a", DataType::Integer)]).unwrap());
+        assert!(bare.rows_with_pk(&Value::Integer(1)).is_none());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use chaos::{ChaosAction, ChaosSchedule};
 pub use clock::Clock;
 pub use error::NetError;
 pub use fault::FaultPlan;
-pub use net::{FnService, Network, Service};
+pub use net::{FnService, Network, Service, WeakNetwork};
 pub use pipe::Pipe;
 pub use sched::{Scheduler, TaskControl, TaskHandle, TaskResult, TaskStats};
 pub use stats::{AddrStats, FailureKind, NetStats};

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -130,6 +130,31 @@ pub struct Network {
     inner: Arc<NetworkInner>,
 }
 
+/// A non-owning handle to a [`Network`], for services bound on that
+/// network. The registry owns its services, so a service that kept a
+/// strong [`Network`] would keep itself alive through the registry
+/// after every outside handle is gone; it keeps a `WeakNetwork` and
+/// [`upgrade`](WeakNetwork::upgrade)s it per use instead.
+#[derive(Clone)]
+pub struct WeakNetwork {
+    inner: Weak<NetworkInner>,
+}
+
+impl WeakNetwork {
+    /// The network, unless every strong handle to it has been dropped.
+    pub fn upgrade(&self) -> Option<Network> {
+        self.inner.upgrade().map(|inner| Network { inner })
+    }
+}
+
+impl fmt::Debug for WeakNetwork {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WeakNetwork")
+            .field("live", &(self.inner.strong_count() > 0))
+            .finish()
+    }
+}
+
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let n = self.inner.services.read().len();
@@ -163,6 +188,13 @@ impl Network {
                 auto_pump: AtomicBool::new(false),
                 pump_active: AtomicBool::new(false),
             }),
+        }
+    }
+
+    /// A non-owning handle to this network.
+    pub fn downgrade(&self) -> WeakNetwork {
+        WeakNetwork {
+            inner: Arc::downgrade(&self.inner),
         }
     }
 
@@ -794,6 +826,35 @@ mod tests {
         assert_eq!(svc.max_depth.load(SeqCst), 1, "dispatch never recursed");
         // Drop the service's network handle to break the Arc cycle.
         svc.net.lock().take();
+    }
+
+    #[test]
+    fn weak_handle_lets_a_bound_service_free_its_network() {
+        struct Holder {
+            net: WeakNetwork,
+        }
+        impl Service for Holder {
+            fn call(&self, _from: &Addr, req: Bytes) -> Result<Bytes, NetError> {
+                let net = self.net.upgrade().expect("caller holds the network");
+                net.stats().record_plan_hit();
+                Ok(req)
+            }
+        }
+        let net = Network::new();
+        let svc = Arc::new(Holder {
+            net: net.downgrade(),
+        });
+        net.bind_arc(Addr::new("svc", 1), svc.clone()).unwrap();
+        net.request(&client(), &Addr::new("svc", 1), Bytes::new())
+            .unwrap();
+        assert_eq!(net.stats().plan_counters(), (1, 0));
+        let weak_svc = Arc::downgrade(&svc);
+        drop(svc);
+        drop(net);
+        assert!(
+            weak_svc.upgrade().is_none(),
+            "registry freed with the network"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl};
+use netsim::{Addr, Clock, NetError, Network, Pipe, Service, TaskControl, WeakNetwork};
 
 use drivolution_core::chunk::ChunkSet;
 use drivolution_core::matching::{self, MatchMode};
@@ -212,8 +212,9 @@ pub struct DrivolutionServer {
     /// and by content on reallocation.
     offer_meta: Mutex<HashMap<DriverId, OfferMeta>>,
     /// Network handle for forwarding plan-cache counters into
-    /// [`netsim::NetStats`]; attached by the deployment variants.
-    net: Mutex<Option<Network>>,
+    /// [`netsim::NetStats`]; attached by the deployment variants. Weak,
+    /// because the network's registry owns the server.
+    net: Mutex<Option<WeakNetwork>>,
     hooks: Mutex<Vec<EventHook>>,
     /// When true, admin operations skip event hooks (used while applying
     /// replicated events to avoid loops).
@@ -362,8 +363,8 @@ impl DrivolutionServer {
     /// Attaches the network whose [`netsim::NetStats`] should mirror the
     /// server's delta-plan cache counters. The deployment variants call
     /// this automatically.
-    pub fn attach_network(&self, net: Network) {
-        *self.net.lock() = Some(net);
+    pub fn attach_network(&self, net: &Network) {
+        *self.net.lock() = Some(net.downgrade());
     }
 
     /// Subscribes to admin events (replication hook).
@@ -728,7 +729,7 @@ impl DrivolutionServer {
                                 st.plan_misses += 1;
                             }
                         }
-                        if let Some(net) = self.net.lock().as_ref() {
+                        if let Some(net) = self.net.lock().as_ref().and_then(WeakNetwork::upgrade) {
                             if hit {
                                 net.stats().record_plan_hit();
                             } else {
