@@ -84,10 +84,7 @@ fn run_seed(seed: u64, clients: usize) -> SeedOutcome {
 
     let dir = sim.server().mirror_directory();
     let byz_location = format!("{BYZANTINE}:1071");
-    let byzantine_demoted = dir
-        .entry(&byz_location)
-        .map(|e| e.demoted)
-        .unwrap_or(false);
+    let byzantine_demoted = dir.entry(&byz_location).map(|e| e.demoted).unwrap_or(false);
     let healthy_demotions = dir
         .snapshot()
         .iter()
@@ -115,7 +112,11 @@ fn run_seed(seed: u64, clients: usize) -> SeedOutcome {
 fn main() {
     let smoke = std::env::var("CHAOS_BENCH_SMOKE").is_ok();
     let clients = if smoke { 12 } else { 24 };
-    let seeds: &[u64] = if smoke { &[9, 23] } else { &[9, 17, 23, 31, 41] };
+    let seeds: &[u64] = if smoke {
+        &[9, 23]
+    } else {
+        &[9, 17, 23, 31, 41]
+    };
 
     println!(
         "\nchaos tier — {clients}-client, {}-zone fleet, two upgrades under a \
@@ -199,10 +200,7 @@ fn main() {
     let _ = writeln!(json, "  \"wrong_byte_installs\": {wrong_bytes},");
     let _ = writeln!(json, "  \"corrupted_serves\": {total_corrupted},");
     let _ = writeln!(json, "  \"mirror_complaints\": {total_complaints},");
-    let _ = writeln!(
-        json,
-        "  \"byzantine_demoted_seeds\": {demoted_seeds},"
-    );
+    let _ = writeln!(json, "  \"byzantine_demoted_seeds\": {demoted_seeds},");
     let _ = writeln!(json, "  \"healthy_demotions\": {healthy_demotions},");
     let _ = writeln!(json, "  \"replay_identical\": {replay_identical}");
     json.push_str("}\n");

@@ -1,6 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation as
-//! printed series (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for the recorded outcomes).
+//! printed series; each banner names the paper table, figure or section
+//! it reproduces.
 //!
 //! This target uses `harness = false`: it is a report generator, not a
 //! timing benchmark (the Criterion targets cover latency).
@@ -341,5 +341,5 @@ fn main() {
     figure_4_failover();
     transfer_overhead();
     license_utilization();
-    println!("\n(done — see EXPERIMENTS.md for the paper-vs-measured record)");
+    println!("\n(done)");
 }

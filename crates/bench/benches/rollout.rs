@@ -83,9 +83,9 @@ struct HealthyOutcome {
 }
 
 /// Pumps the network until the orchestrator settles, sampling real time
-/// whenever a new wave opens. The fleet runs the batched shape: sharded
-/// license table on the server, one `RENEW_BATCH` frame per aggregator
-/// tick instead of one request per client.
+/// whenever a new wave opens. The fleet runs the batched shape: one
+/// `RENEW_BATCH` frame per aggregator tick instead of one request per
+/// client.
 fn run_healthy(clients: usize) -> HealthyOutcome {
     let sim = FleetSim::build_rollout_batched(clients, LEASE_MS, DRIVER_PADDING);
     sim.bootstrap_all();

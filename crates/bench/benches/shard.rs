@@ -1,15 +1,13 @@
-//! Sharded license table and batched lease traffic.
+//! License renewal storm and batched lease traffic.
 //!
 //! Two measurements behind the 10k-client fast path:
 //!
-//! 1. **Seat-shard scaling** — a renewal storm (every host of a fully
-//!    seated fleet renews, repeatedly) against [`LicenseManager`]
-//!    instances with 1, 4 and 16 shards. Renewals that fit their
-//!    shard's sub-quota take one shard lock and one shard-local
-//!    `BTreeMap` probe, so per-renewal cost must not grow with fleet
-//!    size the way a single global table's did. Wall-clock throughput
-//!    is reported per shard count; correctness (every renewal grants,
-//!    zero denials at full occupancy) is gated.
+//! 1. **Renewal storm** — every host of a fully seated fleet renews its
+//!    own seat, repeatedly, against the [`LicenseManager`] seat table.
+//!    A renewal is one lock and one `BTreeMap` probe; the expiry hint
+//!    skips the prune scan, so per-renewal cost does not grow with
+//!    fleet size. Wall-clock throughput is reported; correctness (every
+//!    renewal grants, zero denials at full occupancy) is gated.
 //! 2. **Frame reduction** — the same fleet run unbatched (one
 //!    `DRIVOLUTION_REQUEST` frame per client per renewal) and batched
 //!    (per-zone aggregator coalescing same-tick renewals into
@@ -35,8 +33,7 @@ const MINUTE: u64 = 60_000;
 const LEASE_MS: u64 = 10 * MINUTE;
 const DRIVER_PADDING: usize = 16 * 1024;
 
-struct ShardTrace {
-    shards: usize,
+struct StormTrace {
     renewals: u64,
     denials: u64,
     wall_ms: u128,
@@ -46,9 +43,9 @@ struct ShardTrace {
 /// Fully seats a fleet of `hosts` clients, then drives `rounds` renewal
 /// storms (every host renews its own seat, lease half-expired) with a
 /// maintenance prune between rounds — the server's steady-state shape.
-fn run_license_storm(shards: usize, hosts: usize, rounds: usize) -> ShardTrace {
+fn run_license_storm(hosts: usize, rounds: usize) -> StormTrace {
     const D: DriverId = DriverId(1);
-    let lm = LicenseManager::with_shards(shards);
+    let lm = LicenseManager::new();
     lm.set_limit(D, hosts);
     for h in 0..hosts {
         lm.acquire(D, "app", &format!("host-{h:05}"), LEASE_MS, 0)
@@ -73,8 +70,7 @@ fn run_license_storm(shards: usize, hosts: usize, rounds: usize) -> ShardTrace {
     }
     let wall = started.elapsed();
     let renewals = (hosts * rounds) as u64 - denials;
-    ShardTrace {
-        shards,
+    StormTrace {
         renewals,
         denials,
         wall_ms: wall.as_millis(),
@@ -113,17 +109,12 @@ fn main() {
     let fleet_clients = if smoke { 120 } else { 400 };
     let cycles = 3u64;
 
-    println!("\nsharded license table — {hosts} hosts × {rounds} renewal storms");
-    let traces: Vec<ShardTrace> = [1usize, 4, 16]
-        .iter()
-        .map(|&s| run_license_storm(s, hosts, rounds))
-        .collect();
-    for t in &traces {
-        println!(
-            "  {:>2} shards: {:>8} renewals in {:>5} ms ({} renewals/sec), {} denials",
-            t.shards, t.renewals, t.wall_ms, t.renewals_per_sec, t.denials
-        );
-    }
+    println!("\nlicense seat table — {hosts} hosts × {rounds} renewal storms");
+    let storm = run_license_storm(hosts, rounds);
+    println!(
+        "  {:>8} renewals in {:>5} ms ({} renewals/sec), {} denials",
+        storm.renewals, storm.wall_ms, storm.renewals_per_sec, storm.denials
+    );
 
     println!("lease traffic — {fleet_clients} clients over {cycles} lease windows");
     let unbatched = run_fleet(false, fleet_clients, cycles);
@@ -142,19 +133,14 @@ fn main() {
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"hosts\": {hosts},");
     let _ = writeln!(json, "  \"rounds\": {rounds},");
+    // One table; `"shards": 1` keeps the row comparable with the
+    // single-shard row of earlier trajectories.
     json.push_str("  \"license_storm\": [\n");
-    for (i, t) in traces.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"shards\": {}, \"renewals\": {}, \"denials\": {}, \"wall_ms\": {}, \"renewals_per_sec\": {}}}{}",
-            t.shards,
-            t.renewals,
-            t.denials,
-            t.wall_ms,
-            t.renewals_per_sec,
-            if i + 1 == traces.len() { "" } else { "," }
-        );
-    }
+    let _ = writeln!(
+        json,
+        "    {{\"shards\": 1, \"renewals\": {}, \"denials\": {}, \"wall_ms\": {}, \"renewals_per_sec\": {}}}",
+        storm.renewals, storm.denials, storm.wall_ms, storm.renewals_per_sec
+    );
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"fleet_clients\": {fleet_clients},");
     let _ = writeln!(json, "  \"lease_cycles\": {cycles},");
@@ -173,23 +159,20 @@ fn main() {
     // Gates. Wall-clock throughput is reported but not gated (shared CI
     // boxes are too noisy); every deterministic count is.
     let mut bad = false;
-    for t in &traces {
-        if t.denials != 0 {
-            eprintln!(
-                "REGRESSION: {} renewals denied at {} shards — renewal-in-place broke",
-                t.denials, t.shards
-            );
-            bad = true;
-        }
-        if t.renewals != (hosts * rounds) as u64 {
-            eprintln!(
-                "REGRESSION: expected {} renewals at {} shards, granted {}",
-                hosts * rounds,
-                t.shards,
-                t.renewals
-            );
-            bad = true;
-        }
+    if storm.denials != 0 {
+        eprintln!(
+            "REGRESSION: {} renewals denied — renewal-in-place broke",
+            storm.denials
+        );
+        bad = true;
+    }
+    if storm.renewals != (hosts * rounds) as u64 {
+        eprintln!(
+            "REGRESSION: expected {} renewals, granted {}",
+            hosts * rounds,
+            storm.renewals
+        );
+        bad = true;
     }
     if batched.renewals == 0 || batched.batch_frames == 0 {
         eprintln!("REGRESSION: batched fleet produced no RENEW_BATCH traffic");

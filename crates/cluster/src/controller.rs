@@ -9,7 +9,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use netsim::{Addr, NetError, Network, Service};
+use netsim::{Addr, NetError, Network, Service, WeakNetwork};
 
 use driverkit::DkError;
 use drivolution_core::{DrvError, DrvResult, DRIVOLUTION_PORT};
@@ -28,10 +28,15 @@ struct CtrlSession {
 }
 
 /// A Sequoia-like controller.
+///
+/// The network's registry owns the controller while it is bound, so the
+/// controller holds the network weakly, upgrading it per use; its group
+/// holds the members weakly in turn. Dropping every outside handle
+/// frees the whole cluster.
 pub struct Controller {
     id: u32,
     addr: Addr,
-    net: Network,
+    net: WeakNetwork,
     vdb: Arc<VirtualDb>,
     max_proto: u16,
     running: AtomicBool,
@@ -68,7 +73,7 @@ impl Controller {
         let ctrl = Arc::new(Controller {
             id,
             addr: addr.clone(),
-            net: net.clone(),
+            net: net.downgrade(),
             vdb: Arc::new(vdb),
             max_proto,
             running: AtomicBool::new(true),
@@ -111,6 +116,13 @@ impl Controller {
         *self.group.lock() = Some(group);
     }
 
+    /// The network this controller is bound on, while it still exists.
+    fn net(&self) -> DrvResult<Network> {
+        self.net
+            .upgrade()
+            .ok_or_else(|| DrvError::Net("controller network torn down".into()))
+    }
+
     /// The embedded Drivolution server, if one was attached.
     pub fn drivolution(&self) -> Option<Arc<DrivolutionServer>> {
         self.drivolution.lock().clone()
@@ -122,25 +134,26 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Schema or bind failures.
+    /// Schema or bind failures; [`DrvError::Net`] once the network has
+    /// been dropped.
     pub fn embed_drivolution(
         self: &Arc<Self>,
         config: ServerConfig,
     ) -> DrvResult<Arc<DrivolutionServer>> {
+        let net = self.net()?;
         let store_db = Arc::new(MiniDb::with_clock(
             format!("ctrl{}-drv-store", self.id),
-            self.net.clock().clone(),
+            net.clock().clone(),
         ));
         let store = DriverStore::new(Box::new(EmbeddedExec::new(store_db)));
         store.install_schema()?;
         let server = Arc::new(DrivolutionServer::new(
             self.addr.host().to_string(),
             store,
-            self.net.clock().clone(),
+            net.clock().clone(),
             config,
         ));
-        self.net
-            .bind_arc(self.addr.with_port(DRIVOLUTION_PORT), server.clone())?;
+        net.bind_arc(self.addr.with_port(DRIVOLUTION_PORT), server.clone())?;
         *self.drivolution.lock() = Some(server.clone());
         // Replicate admin events to the other controllers' servers.
         let me = Arc::downgrade(self);
@@ -171,7 +184,8 @@ impl Controller {
     /// # Errors
     ///
     /// [`DrvError::Internal`] when no Drivolution server is embedded;
-    /// bind failures.
+    /// bind failures; [`DrvError::Net`] once the network has been
+    /// dropped.
     pub fn attach_depot_mirror(self: &Arc<Self>, port: u16) -> DrvResult<Arc<MirrorDepot>> {
         if let Some(existing) = self.mirror.lock().clone() {
             return Ok(existing);
@@ -180,7 +194,7 @@ impl Controller {
             DrvError::Internal("attach_depot_mirror requires an embedded drivolution server".into())
         })?;
         let mirror = MirrorDepot::launch(
-            &self.net,
+            &self.net()?,
             self.addr.with_port(port),
             self.addr.with_port(DRIVOLUTION_PORT),
         )?;
@@ -207,12 +221,17 @@ impl Controller {
     /// upgrade, §5.3.1).
     pub fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
-        self.net.unbind(&self.addr);
-        if self.drivolution.lock().is_some() {
-            self.net.unbind(&self.addr.with_port(DRIVOLUTION_PORT));
+        let mirror = self.mirror.lock().clone();
+        if let Some(net) = self.net.upgrade() {
+            net.unbind(&self.addr);
+            if self.drivolution.lock().is_some() {
+                net.unbind(&self.addr.with_port(DRIVOLUTION_PORT));
+            }
+            if let Some(mirror) = &mirror {
+                net.unbind(mirror.addr());
+            }
         }
-        if let Some(mirror) = self.mirror.lock().as_ref() {
-            self.net.unbind(mirror.addr());
+        if let Some(mirror) = mirror {
             // A stopped controller must not keep beating a heart it
             // unplugged: the scheduler task goes quiet with it, and the
             // directory quarantines the entry like any dead mirror.
@@ -225,18 +244,19 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind failures; [`DrvError::Net`] once the network has been
+    /// dropped.
     pub fn start(self: &Arc<Self>) -> DrvResult<()> {
         if self.is_running() {
             return Ok(());
         }
-        self.net.bind_arc(self.addr.clone(), self.clone())?;
+        let net = self.net()?;
+        net.bind_arc(self.addr.clone(), self.clone())?;
         if let Some(drv) = self.drivolution.lock().clone() {
-            self.net
-                .bind_arc(self.addr.with_port(DRIVOLUTION_PORT), drv)?;
+            net.bind_arc(self.addr.with_port(DRIVOLUTION_PORT), drv)?;
         }
         if let Some(mirror) = self.mirror.lock().clone() {
-            self.net.bind_arc(mirror.addr().clone(), mirror.clone())?;
+            net.bind_arc(mirror.addr().clone(), mirror.clone())?;
             // The directory may have evicted the mirror while the
             // controller was down; re-announce and refresh coverage once,
             // then let the resumed heartbeat task take over.

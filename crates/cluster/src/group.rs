@@ -11,7 +11,7 @@
 //! miss writes and must be restarted with fresh state or resynced at the
 //! backend level.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -21,11 +21,13 @@ use minidb::QueryResult;
 
 use crate::controller::Controller;
 
-/// A controller replication group.
+/// A controller replication group. Each member holds the group; the
+/// group holds its members weakly, so the pair forms no cycle and a
+/// member dropped by every outside owner drops out of the group.
 pub struct Group {
     name: String,
     order: Mutex<()>,
-    members: Mutex<Vec<Arc<Controller>>>,
+    members: Mutex<Vec<Weak<Controller>>>,
 }
 
 impl std::fmt::Debug for Group {
@@ -55,8 +57,11 @@ impl Group {
     /// Adds a controller to the group (idempotent).
     pub fn join(self: &Arc<Self>, ctrl: &Arc<Controller>) {
         let mut members = self.members.lock();
-        if !members.iter().any(|m| m.id() == ctrl.id()) {
-            members.push(ctrl.clone());
+        if !members
+            .iter()
+            .any(|m| m.upgrade().is_some_and(|m| m.id() == ctrl.id()))
+        {
+            members.push(Arc::downgrade(ctrl));
         }
         ctrl.set_group(self.clone());
     }
@@ -67,8 +72,8 @@ impl Group {
             .members
             .lock()
             .iter()
+            .filter_map(Weak::upgrade)
             .filter(|m| m.is_running())
-            .cloned()
             .collect();
         v.sort_by_key(|m| m.id());
         v

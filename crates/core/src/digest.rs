@@ -1,9 +1,9 @@
 //! Content digests — the workspace's stand-in for cryptographic hashes.
 //!
 //! A word-folded FNV-1a variant is used everywhere a real system would
-//! use SHA-256. This is a deliberate, documented simulation (see
-//! DESIGN.md): the reproduction models *where* integrity and trust
-//! checks happen, not their cryptographic strength.
+//! use SHA-256. This is a deliberate simulation: the reproduction models
+//! *where* integrity and trust checks happen, not their cryptographic
+//! strength.
 //!
 //! The fold consumes eight bytes per iteration (one little-endian `u64`
 //! lane XORed in, multiplied by the FNV prime, then an xorshift to

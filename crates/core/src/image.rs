@@ -1,6 +1,6 @@
 //! The driver image — this reproduction's "driver binary code".
 //!
-//! ## Substitution note (see DESIGN.md)
+//! ## Substitution note
 //!
 //! The paper ships JVM bytecode and loads it with a classloader. Rust has
 //! no stable ABI, so shipping compiled code is not faithfully

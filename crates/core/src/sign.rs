@@ -7,8 +7,7 @@
 //! This is a **simulated** signature scheme built on FNV digests: it
 //! faithfully models the trust workflow (vendors sign driver packages; the
 //! bootloader holds trusted verifying keys and rejects unsigned or
-//! tampered packages) but provides no cryptographic security. See
-//! DESIGN.md.
+//! tampered packages) but provides no cryptographic security.
 
 use std::fmt;
 

@@ -16,7 +16,7 @@
 //! fingerprint structs, the cipher is an XOR keystream, and the MAC an FNV
 //! digest. It faithfully models the *decisions* (trust-anchor check,
 //! tamper detection, refusing untrusted servers) against non-adaptive
-//! faults — not real cryptography. See DESIGN.md.
+//! faults — not real cryptography.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};

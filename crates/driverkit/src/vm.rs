@@ -1,5 +1,6 @@
 //! The driver VM: turns downloaded driver bytes into live [`Driver`]
-//! objects — the dynamic-class-loading analog (see DESIGN.md).
+//! objects — the dynamic-class-loading analog (see the substitution note
+//! in [`drivolution_core::image`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -98,39 +98,26 @@ fn record(id: i64, proto: u16, version: DriverVersion, padding: usize) -> Driver
 impl FleetSim {
     /// Builds a fleet of `n_clients` self-driving bootloaders with
     /// `lease_ms` leases; `notify` opens dedicated channels (the push
-    /// ablation).
+    /// ablation). Clients run under [`LifecyclePolicy::driven`] at
+    /// [`DEFAULT_POLL_EVERY`].
     pub fn build(n_clients: usize, lease_ms: u64, notify: bool) -> Self {
-        Self::build_with_driver_size(n_clients, lease_ms, notify, 0)
+        let mut sim = Self::base(lease_ms, 0);
+        for _ in 0..n_clients {
+            let mut config = BootloaderConfig::same_host()
+                .with_lifecycle(LifecyclePolicy::driven(DEFAULT_POLL_EVERY));
+            if notify {
+                config = config.with_notify_channel();
+            }
+            sim.push_client(config);
+        }
+        sim
     }
 
-    /// As [`FleetSim::build`] with `driver_padding` extra bytes per
-    /// driver package (to sweep realistic driver sizes). Clients run
-    /// under [`LifecyclePolicy::driven`] at [`DEFAULT_POLL_EVERY`].
-    pub fn build_with_driver_size(
-        n_clients: usize,
-        lease_ms: u64,
-        notify: bool,
-        driver_padding: usize,
-    ) -> Self {
-        Self::build_with_lifecycle(
-            n_clients,
-            lease_ms,
-            notify,
-            driver_padding,
-            LifecyclePolicy::driven(DEFAULT_POLL_EVERY),
-        )
-    }
-
-    /// As [`FleetSim::build_with_driver_size`] with an explicit client
-    /// [`LifecyclePolicy`] — [`LifecyclePolicy::manual`] builds a fleet
-    /// for harnesses that hand-crank [`Bootloader::poll`].
-    pub fn build_with_lifecycle(
-        n_clients: usize,
-        lease_ms: u64,
-        notify: bool,
-        driver_padding: usize,
-        lifecycle: LifecyclePolicy,
-    ) -> Self {
+    /// The server side every fleet shares, with no clients yet: a
+    /// database on `db1` with an in-database Drivolution server holding
+    /// driver v1 (`driver_padding` extra package bytes, to sweep
+    /// realistic driver sizes) under one any-client rule at `lease_ms`.
+    fn base(lease_ms: u64, driver_padding: usize) -> Self {
         let net = Network::new();
         let db = Arc::new(MiniDb::with_clock("fleetdb", net.clock().clone()));
         {
@@ -161,23 +148,11 @@ impl FleetSim {
                     .with_policies(RenewPolicy::Renew, ExpirationPolicy::AfterCommit),
             )
             .expect("add permission rule for driver v1");
-        let mut clients = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let mut config = BootloaderConfig::same_host().with_lifecycle(lifecycle);
-            if notify {
-                config = config.with_notify_channel();
-            }
-            clients.push(Bootloader::new(
-                &net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
-        }
         FleetSim {
             net,
             server,
             drv_addr: Addr::new("db1", DRIVOLUTION_PORT),
-            clients,
+            clients: Vec::new(),
             mirrors: Vec::new(),
             aggregators: Vec::new(),
             url: DbUrl::direct(Addr::new("db1", 5432), "fleetdb"),
@@ -186,39 +161,43 @@ impl FleetSim {
         }
     }
 
-    /// Builds a fleet wired for staged rollouts: every client carries a
-    /// depot (so rollbacks revalidate with zero transfer), sends
-    /// activation reports after upgrades (so health gates have signal),
-    /// and runs a post-activation self-check that fails whenever the
-    /// activated version matches the injected
+    /// Adds the next client, `app<NNNN>:1` by arrival order.
+    fn push_client(&mut self, config: BootloaderConfig) {
+        let host = format!("app{:04}", self.clients.len());
+        self.clients
+            .push(Bootloader::new(&self.net, Addr::new(host, 1), config));
+    }
+
+    /// Client config of the rollout-style fleets: a depot (rollbacks
+    /// revalidate with zero transfer), activation reports after upgrades
+    /// (so health gates have signal) and a post-activation self-check
+    /// that fails whenever the activated version matches the injected
     /// [`FleetSim::inject_activation_fault`] target.
+    fn rollout_client(&self, lifecycle: LifecyclePolicy) -> BootloaderConfig {
+        let faulty = self.faulty_version.clone();
+        BootloaderConfig::same_host()
+            .with_lifecycle(lifecycle)
+            .with_depot(DriverDepot::in_memory())
+            .with_activation_reports()
+            .with_activation_check(move |image| match *faulty.lock() {
+                Some(v) if image.version == v => Err("injected activation regression".to_string()),
+                _ => Ok(()),
+            })
+    }
+
+    /// Builds a fleet wired for staged rollouts: every client carries
+    /// the depot, activation reports and injectable self-check of
+    /// `rollout_client`, under [`LifecyclePolicy::driven`].
     pub fn build_rollout(n_clients: usize, lease_ms: u64, driver_padding: usize) -> Self {
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
-        for i in 0..n_clients {
-            let faulty = sim.faulty_version.clone();
-            let config = BootloaderConfig::same_host()
-                .with_lifecycle(LifecyclePolicy::driven(DEFAULT_POLL_EVERY))
-                .with_depot(DriverDepot::in_memory())
-                .with_activation_reports()
-                .with_activation_check(move |image| match *faulty.lock() {
-                    Some(v) if image.version == v => {
-                        Err("injected activation regression".to_string())
-                    }
-                    _ => Ok(()),
-                });
-            sim.clients.push(Bootloader::new(
-                &sim.net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
+        let mut sim = Self::base(lease_ms, driver_padding);
+        for _ in 0..n_clients {
+            sim.push_client(sim.rollout_client(LifecyclePolicy::driven(DEFAULT_POLL_EVERY)));
         }
         sim
     }
 
-    /// Builds a fleet wired for zero-downtime hot swaps: every client
-    /// carries a depot (rollbacks revalidate with zero transfer), sends
-    /// activation reports, runs the injectable self-check of
-    /// [`FleetSim::build_rollout`], and — when `hot_swap` is set — opens
+    /// Builds a fleet wired for zero-downtime hot swaps: the clients of
+    /// [`FleetSim::build_rollout`] that — when `hot_swap` is set — open
     /// a bounded coexistence window on upgrade instead of expiring old
     /// sessions immediately. `hot_swap: None` builds the *baseline*
     /// fleet for the same scenario: identical clients that apply the
@@ -226,27 +205,13 @@ impl FleetSim {
     /// exactly the configuration whose dropped-query ledger the hot-swap
     /// benches contrast against.
     pub fn build_hotswap(n_clients: usize, lease_ms: u64, hot_swap: Option<SwapConfig>) -> Self {
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, 0);
-        for i in 0..n_clients {
-            let faulty = sim.faulty_version.clone();
-            let mut config = BootloaderConfig::same_host()
-                .with_lifecycle(LifecyclePolicy::driven(DEFAULT_POLL_EVERY))
-                .with_depot(DriverDepot::in_memory())
-                .with_activation_reports()
-                .with_activation_check(move |image| match *faulty.lock() {
-                    Some(v) if image.version == v => {
-                        Err("injected activation regression".to_string())
-                    }
-                    _ => Ok(()),
-                });
+        let mut sim = Self::base(lease_ms, 0);
+        for _ in 0..n_clients {
+            let mut config = sim.rollout_client(LifecyclePolicy::driven(DEFAULT_POLL_EVERY));
             if let Some(swap) = hot_swap {
                 config = config.with_hot_swap(swap);
             }
-            sim.clients.push(Bootloader::new(
-                &sim.net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
+            sim.push_client(config);
         }
         sim
     }
@@ -277,29 +242,16 @@ impl FleetSim {
     /// rollout bench runs: same lease windows and wave targeting, a tiny
     /// fraction of the frames.
     pub fn build_rollout_batched(n_clients: usize, lease_ms: u64, driver_padding: usize) -> Self {
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
+        let mut sim = Self::base(lease_ms, driver_padding);
         // One shared assembled-image cache for the (unzoned) fleet: a
         // rollout wave materializes each target image once, and every
         // other client adopts the refcounted bytes after re-verifying.
         let image_cache = drivolution_depot::SharedImageCache::new();
-        for i in 0..n_clients {
-            let faulty = sim.faulty_version.clone();
-            let config = BootloaderConfig::same_host()
-                .with_lifecycle(LifecyclePolicy::manual())
-                .with_depot(DriverDepot::in_memory())
-                .with_image_cache(image_cache.clone())
-                .with_activation_reports()
-                .with_activation_check(move |image| match *faulty.lock() {
-                    Some(v) if image.version == v => {
-                        Err("injected activation regression".to_string())
-                    }
-                    _ => Ok(()),
-                });
-            sim.clients.push(Bootloader::new(
-                &sim.net,
-                Addr::new(format!("app{i:04}"), 1),
-                config,
-            ));
+        for _ in 0..n_clients {
+            let config = sim
+                .rollout_client(LifecyclePolicy::manual())
+                .with_image_cache(image_cache.clone());
+            sim.push_client(config);
         }
         sim.attach_aggregators(DEFAULT_POLL_EVERY);
         sim
@@ -378,7 +330,7 @@ impl FleetSim {
         lifecycle: LifecyclePolicy,
     ) -> Self {
         assert!(!zones.is_empty(), "a CDN fleet needs at least one zone");
-        let mut sim = Self::build_with_driver_size(0, lease_ms, false, driver_padding);
+        let mut sim = Self::base(lease_ms, driver_padding);
         sim.net.with_topology(|t| {
             t.set_default_latency(same_zone_ms, cross_zone_ms);
             t.place("db1", zones[0]);
@@ -392,9 +344,9 @@ impl FleetSim {
             sim.mirrors.push(mirror);
         }
         for i in 0..n_clients {
-            let host = format!("app{i:04}");
             let zone = zones[i % zones.len()];
-            sim.net.with_topology(|t| t.place(host.clone(), zone));
+            sim.net
+                .with_topology(|t| t.place(format!("app{i:04}"), zone));
             let mut config = BootloaderConfig::same_host()
                 .with_lifecycle(lifecycle)
                 .trusting(sim.server.certificate())
@@ -402,8 +354,7 @@ impl FleetSim {
             for m in &sim.mirrors {
                 config = config.trusting(m.certificate());
             }
-            sim.clients
-                .push(Bootloader::new(&sim.net, Addr::new(host, 1), config));
+            sim.push_client(config);
         }
         sim
     }

@@ -493,12 +493,21 @@ mod tests {
         dir.announce("evil:1071", None, false);
         dir.announce("honest:1071", None, false);
         // One reporter, even striking twice, is not corroboration.
-        assert_eq!(dir.complaint("evil:1071", "app1"), ComplaintOutcome::Recorded);
-        assert_eq!(dir.complaint("evil:1071", "app1"), ComplaintOutcome::Recorded);
+        assert_eq!(
+            dir.complaint("evil:1071", "app1"),
+            ComplaintOutcome::Recorded
+        );
+        assert_eq!(
+            dir.complaint("evil:1071", "app1"),
+            ComplaintOutcome::Recorded
+        );
         assert!(!dir.entry("evil:1071").unwrap().demoted);
         assert_eq!(dir.candidates(None, &[]).len(), 2);
         // A second distinct reporter crosses both thresholds.
-        assert_eq!(dir.complaint("evil:1071", "app2"), ComplaintOutcome::Demoted);
+        assert_eq!(
+            dir.complaint("evil:1071", "app2"),
+            ComplaintOutcome::Demoted
+        );
         let e = dir.entry("evil:1071").unwrap();
         assert!(e.demoted);
         assert_eq!(e.strikes, 3);
@@ -506,9 +515,15 @@ mod tests {
         assert_eq!(c.len(), 1, "demoted mirror leaves the plan");
         assert_eq!(c[0].location, "honest:1071");
         // Further strikes just accumulate.
-        assert_eq!(dir.complaint("evil:1071", "app3"), ComplaintOutcome::Recorded);
+        assert_eq!(
+            dir.complaint("evil:1071", "app3"),
+            ComplaintOutcome::Recorded
+        );
         // Unseen locations cannot be pre-poisoned.
-        assert_eq!(dir.complaint("ghost:1071", "app1"), ComplaintOutcome::Unknown);
+        assert_eq!(
+            dir.complaint("ghost:1071", "app1"),
+            ComplaintOutcome::Unknown
+        );
     }
 
     #[test]
@@ -520,7 +535,11 @@ mod tests {
         dir.announce("evil:1071", Some("east".into()), false);
         dir.complaint("evil:1071", "app1");
         assert!(!dir.announce("evil:1071", Some("east".into()), false));
-        assert_eq!(dir.entry("evil:1071").unwrap().strikes, 1, "strike survived");
+        assert_eq!(
+            dir.entry("evil:1071").unwrap().strikes,
+            1,
+            "strike survived"
+        );
         dir.complaint("evil:1071", "app2");
         assert!(dir.entry("evil:1071").unwrap().demoted);
         assert!(!dir.announce("evil:1071", Some("west".into()), false));

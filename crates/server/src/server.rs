@@ -25,7 +25,7 @@ use drivolution_depot::{ContentIndex, DeltaPlan};
 
 use crate::assemble::Assembler;
 use crate::directory::{ComplaintOutcome, DirectoryConfig, MirrorDirectory};
-use crate::license::{LicenseManager, DEFAULT_LICENSE_SHARDS};
+use crate::license::LicenseManager;
 use crate::notify::NotifyHub;
 use crate::rollout::RolloutOrchestrator;
 use crate::store::DriverStore;
@@ -77,11 +77,6 @@ pub struct ServerConfig {
     /// Mirror-directory timing and ranking knobs (heartbeat cadence,
     /// quarantine/eviction thresholds, candidates per plan).
     pub directory: DirectoryConfig,
-    /// License-table shard count. Requests hash to a shard by
-    /// `client_host` (stable FNV), so replay stays seed-reproducible;
-    /// more shards means less lock contention under fleet-scale renewal
-    /// storms. Clamped to at least 1.
-    pub license_shards: usize,
     /// Cadence of the background maintenance task registered by
     /// [`DrivolutionServer::register_maintenance`]: expired-seat pruning
     /// and broken-channel reaping run at this interval instead of on the
@@ -105,7 +100,6 @@ impl Default for ServerConfig {
             depot_chunking: ChunkingParams::default(),
             delta_offers: true,
             directory: DirectoryConfig::default(),
-            license_shards: DEFAULT_LICENSE_SHARDS,
             maintenance_every_ms: 30_000,
         }
     }
@@ -247,14 +241,13 @@ impl DrivolutionServer {
         let name = name.into();
         let cert = Certificate::issue(name.clone(), 1);
         let directory = MirrorDirectory::new(clock.clone(), config.directory);
-        let license_shards = config.license_shards.max(1);
         DrivolutionServer {
             name,
             store,
             config,
             clock,
             cert,
-            licenses: LicenseManager::with_shards(license_shards),
+            licenses: LicenseManager::new(),
             assembler: Assembler::new(),
             hub: NotifyHub::new(),
             staged: Mutex::new(HashMap::new()),

@@ -18,8 +18,11 @@
 //! | Sequoia-like replication middleware | [`cluster`] |
 //! | operational fleet simulation | [`fleet`] |
 //!
-//! See `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured results. Runnable scenarios live in `examples/`.
+//! What the reproduction simulates rather than implements (driver code
+//! as declarative images, FNV digests for hashes, signatures, the sealed
+//! channel) is set out in the substitution notes of the `core` modules
+//! `image`, `digest`, `sign` and `transfer`. Runnable scenarios live in
+//! `examples/`; the README maps every bench target to what it measures.
 //!
 //! # Examples
 //!

@@ -101,10 +101,10 @@ fn same_seed_chaos_schedule_reproduces_every_counter() {
 }
 
 /// The same replay guarantee with the opt-in auto-pump enabled and the
-/// batched fleet shape (renewal aggregators, sharded license table,
-/// zone-shared image cache): tasks now also fire from inside request
-/// dispatch, so this pins that the reentrancy guard defers them to the
-/// outermost pump in a reproducible order — and that adopting a peer's
+/// batched fleet shape (renewal aggregators, zone-shared image cache):
+/// tasks now also fire from inside request dispatch, so this pins that
+/// the reentrancy guard defers them to the outermost pump in a
+/// reproducible order — and that adopting a peer's
 /// assembled image never changes what crosses the wire.
 #[test]
 fn same_seed_replays_identical_batched_traffic_under_auto_pump() {
